@@ -73,10 +73,6 @@ def execute_plan(plan: ShardPlan, *, jobs: int,
             close()
 
 
-#: back-compat alias (the pre-service private name)
-_execute = execute_plan
-
-
 # ---------------------------------------------------------------------------
 # fuzz
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro.resil.faults import FAULT_CLASSES
+from repro.vm.machine import ENGINES
 from repro.workloads import WORKLOADS
 
 
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shard-retries", type=int, default=2,
                         help="requeues per failed shard (default 2)")
     parser.add_argument("--engine", type=str, default="auto",
-                        choices=("auto", "fastpath", "superblock", "reference"),
+                        choices=ENGINES,
                         help="execution engine; 'auto' runs clean "
                              "reference runs on the fastpath and "
                              "fault-injected runs on the reference "

@@ -120,6 +120,7 @@ def _require_int_list(name: str, value: Any) -> List[int]:
 def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.eval.configs import CONFIG_NAMES
     from repro.fuzz.driver import DEFAULT_CONFIGS
+    from repro.vm.machine import ENGINES
     return {
         "iterations": _require_int(
             "params.iterations", params.get("iterations", 20),
@@ -149,8 +150,7 @@ def _fuzz_params(params: Dict[str, Any]) -> Dict[str, Any]:
         "backoff_base": _require_number(
             "params.backoff_base", params.get("backoff_base", 0.1)),
         "engine": _require_str(
-            "params.engine", params.get("engine", "auto"),
-            ("auto", "fastpath", "superblock", "reference")),
+            "params.engine", params.get("engine", "auto"), ENGINES),
         "temporal": _require_str(
             "params.temporal", params.get("temporal", "off"),
             ("off", "check", "quarantine")),

@@ -20,13 +20,13 @@ Semantics notes:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import (
     BoundsTrap, GuestExit, LinkError, PoisonTrap, SimTrap,
     StepBudgetExceeded, TemporalViolation, WorkloadTimeout,
 )
-from repro.compiler.ir import BIN_CODES, IRFunction, Op
+from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
 from repro.mem.layout import ADDRESS_MASK
 from repro.obs.events import BoundsSpillEvent, CheckEvent, PromoteEvent
@@ -36,11 +36,6 @@ _SCHEME_NAMES = ("LEGACY", "LOCAL_OFFSET", "SUBHEAP", "GLOBAL_TABLE")
 
 U64 = (1 << 64) - 1
 _SIGN = 1 << 63
-
-#: BIN/BINI variant codes now live with the IR and are assigned at
-#: compile/load time (see :func:`repro.compiler.ir.assign_bin_codes`);
-#: kept as an alias for backward compatibility.
-_BIN_CODES: Dict[str, int] = BIN_CODES
 
 _MUL_EXTRA = 2   #: extra cycles for multiply
 _DIV_EXTRA = 7   #: extra cycles for divide/remainder

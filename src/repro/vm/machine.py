@@ -18,6 +18,10 @@ from repro.vm.loader import LoadedImage, load_program
 from repro.vm.stats import RunStats
 
 
+#: every accepted ``MachineConfig.engine`` value
+ENGINES = ("auto", "fastpath", "reference")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Machine-level knobs (hardware config + harness limits)."""
@@ -44,19 +48,16 @@ class MachineConfig:
     #: addresses normally; "quarantine" additionally suppresses address
     #: reuse in the allocators so stale keys can never alias fresh ones
     temporal: str = "off"
-    #: execution engine: "auto" picks the closure-compiled fastpath —
-    #: including under an armed tracer/observer/fault injector, for
-    #: which it compiles an instrumented variant with inline emit sites
-    #: (see repro.vm.fastpath) — falling back to the reference
-    #: interpreter only when :meth:`Machine.fastpath_reasons` reports an
-    #: instrument the compiler cannot honour; uninstrumented hot
-    #: functions additionally graduate to the whole-function superblock
-    #: tier.  "reference" forces the reference interpreter; "fastpath"
-    #: forces the block-fused fastpath with the superblock tier off;
-    #: "superblock" forces whole-function translation on first call
-    #: (and errors when a fastpath_reasons fallback applies).  All
-    #: engines are byte-identical in every simulated observable,
-    #: including the emitted event stream — see DESIGN.md §8.
+    #: execution engine, one of :data:`ENGINES`.  "auto" runs the
+    #: closure-compiled fastpath (repro.vm.fastpath) — including under
+    #: an armed tracer/observer/fault injector, for which it compiles an
+    #: instrumented variant with inline emit sites — and falls back to
+    #: the reference interpreter only when :meth:`Machine.fastpath_reasons`
+    #: reports an instrument the compiler cannot honour.  "fastpath"
+    #: forces the compiled engine and raises on such an instrument;
+    #: "reference" forces the reference interpreter.  Both engines are
+    #: byte-identical in every simulated observable, including the
+    #: emitted event stream — see DESIGN.md §8.
     engine: str = "auto"
 
 
@@ -124,8 +125,7 @@ class Machine:
         #: optional observer (see repro.obs.attach_observer); None keeps
         #: every instrumented site on its zero-cost disabled path
         self.obs = None
-        #: engine the last ``run`` resolved to
-        #: ("fastpath"|"superblock"|"reference");
+        #: engine the last ``run`` resolved to ("fastpath"|"reference");
         #: None before the first run.  Telemetry labels use this.
         self.engine_used: Optional[str] = None
 
@@ -227,7 +227,7 @@ class Machine:
         engine = self.config.engine
         if engine == "reference":
             return self.interp
-        if engine in ("auto", "fastpath", "superblock"):
+        if engine in ENGINES:
             reasons = self.fastpath_reasons()
             if reasons:
                 if engine != "auto":
@@ -239,7 +239,7 @@ class Machine:
                 return self.interp
             return self._fastpath()
         raise ReproError(f"unknown engine {engine!r} "
-                         "(expected auto|fastpath|superblock|reference)")
+                         f"(expected {'|'.join(ENGINES)})")
 
     def _fastpath(self):
         if self._fast is None:
@@ -262,12 +262,8 @@ class Machine:
         timeout = (timeout_seconds if timeout_seconds is not None
                    else self.config.wall_clock_timeout)
         interp = self.select_interp()
-        if interp is self.interp:
-            self.engine_used = "reference"
-        elif self.config.engine == "superblock":
-            self.engine_used = "superblock"
-        else:
-            self.engine_used = "fastpath"
+        self.engine_used = ("reference" if interp is self.interp
+                            else "fastpath")
         if self.obs is not None:
             # let observability consumers label everything they export
             # with the engine that actually produced it

@@ -51,10 +51,8 @@ def _assert_engines_agree(source: str, config_name: str,
     program = compile_source(source, build_options(config_name))
     config = build_machine_config(config_name, max_instructions)
     reference = _observables(program, config, "reference")
-    for engine in ("fastpath", "superblock"):
-        compiled = _observables(program, config, engine)
-        assert compiled == reference, (
-            f"engine {engine!r} diverged under {config_name!r}")
+    assert _observables(program, config, "fastpath") == reference, (
+        f"fastpath diverged under {config_name!r}")
     return reference
 
 
@@ -122,10 +120,12 @@ class TestEngineSelection:
         assert machine.engine_used == "reference"
 
     def test_unknown_engine_rejected(self):
+        # a removed engine name gets the same typed error as a made-up one
         program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="turbo"))
-        with pytest.raises(ReproError, match="unknown engine"):
-            machine.select_interp()
+        for engine in ("turbo", "superblock"):
+            machine = Machine(program, MachineConfig(engine=engine))
+            with pytest.raises(ReproError, match="unknown engine"):
+                machine.select_interp()
 
     def test_reference_forces_reference(self):
         program = compile_source(SMALL, CompilerOptions.baseline())
@@ -167,6 +167,26 @@ int add(int n) { if (n == 0) return 0; return n + add(n - 1); }
 int main(void) { return add(40); }
 """
 
+LOOPY = """
+int main(void) {
+    int i;
+    int sum = 0;
+    for (i = 0; i < 100; i++) sum = sum + i;
+    return sum & 0xFF;
+}
+"""
+
+DOUBLE_FREE = """
+int main(void) {
+    int *p = (int *)malloc(4 * sizeof(int));
+    int i;
+    for (i = 0; i < 4; i++) p[i] = i;
+    free(p);
+    free(p);
+    return 0;
+}
+"""
+
 
 class TestTrapEquivalence:
     @pytest.mark.parametrize("config", ["wrapped", "subheap"])
@@ -188,6 +208,28 @@ class TestTrapEquivalence:
                                     max_instructions=10_000)
         assert run["trap"][0] == "StepBudgetExceeded"
         assert run["trap"][2] == 10_001  # executed counts the raiser
+
+    def test_budget_trap_identical_inside_loop(self):
+        # The budget must fire at the reference's exact instruction when
+        # it lands inside a fused loop block (the single-step fallback).
+        run = _assert_engines_agree(LOOPY, "baseline",
+                                    max_instructions=150)
+        assert run["trap"][0] == "StepBudgetExceeded"
+        assert run["trap"][2] == 151
+
+    @pytest.mark.parametrize("temporal", ["check", "quarantine"])
+    def test_temporal_modes_identical(self, temporal):
+        # Lock-and-key probes sit inline in compiled deref sites; they
+        # must stay byte-identical in both temporal modes, including a
+        # trapping double free.
+        from dataclasses import replace
+        for source in (SELF_MODIFY_METADATA, DOUBLE_FREE):
+            program = compile_source(source, build_options("subheap"))
+            config = replace(build_machine_config("subheap"),
+                             temporal=temporal)
+            reference = _observables(program, config, "reference")
+            assert _observables(program, config, "fastpath") \
+                == reference, f"fastpath diverged ({temporal})"
 
     def test_call_heavy_program_identical(self):
         _assert_engines_agree(RECURSE, "wrapped")
@@ -442,6 +484,17 @@ class TestCacheCoherence:
         for config in ("subheap", "wrapped"):
             _assert_engines_agree(SELF_MODIFY_METADATA, config)
 
+    def test_cache_coherence_under_fastpath(self):
+        from dataclasses import replace
+        program = compile_source(SELF_MODIFY_METADATA,
+                                 build_options("subheap"))
+        config = replace(build_machine_config("subheap"),
+                         engine="fastpath")
+        machine = Machine(program, config)
+        result = machine.run()
+        assert result.trap is None
+        assert machine.engine_used == "fastpath"
+
     def test_promote_cache_counters_populate(self):
         program = compile_source(WORKLOADS["treeadd"].source(1),
                                  build_options("subheap"))
@@ -450,136 +503,6 @@ class TestCacheCoherence:
         ifp = result.stats.ifp
         assert ifp.promote_cache_hits + ifp.promote_cache_misses > 0
         assert ifp.promote_cache_hits > 0
-
-
-# ---------------------------------------------------------------------------
-# superblock (whole-function translation) tier
-# ---------------------------------------------------------------------------
-
-LOOPY = """
-int main(void) {
-    int i;
-    int sum = 0;
-    for (i = 0; i < 100; i++) sum = sum + i;
-    return sum & 0xFF;
-}
-"""
-
-
-class TestSuperblockTier:
-    """The whole-function tier's own contract: tier selection, both
-    translation shapes, and byte-identity where the fused tier's tests
-    don't already force it (temporal modes, deadline path, elision)."""
-
-    def test_forced_superblock_translates_on_first_call(self):
-        program = compile_source(LOOPY, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="superblock"))
-        result = machine.run()
-        assert result.exit_code == (99 * 100 // 2) & 0xFF
-        assert machine.engine_used == "superblock"
-        assert "main" in machine._fast._super
-
-    def test_auto_graduates_loopy_function_immediately(self):
-        program = compile_source(LOOPY, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        machine.run()
-        assert machine.engine_used == "fastpath"
-        assert "main" in machine._fast._super
-
-    def test_auto_defers_straight_line_functions(self):
-        # A function with no backedge only graduates after the call
-        # threshold; SMALL's main runs once and must stay fused.
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        machine.run()
-        assert "main" not in machine._fast._super
-
-    def test_hot_straight_line_function_graduates(self):
-        from repro.vm.fastpath import _SUPER_CALL_THRESHOLD
-        calls = _SUPER_CALL_THRESHOLD + 1
-        source = """
-        int leaf(int x) { return x + 1; }
-        int main(void) {
-            int i;
-            int v = 0;
-            for (i = 0; i < %d; i++) v = leaf(v);
-            return v;
-        }
-        """ % calls
-        program = compile_source(source, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="auto"))
-        result = machine.run()
-        assert result.exit_code == calls
-        assert "leaf" in machine._fast._super
-
-    def test_small_function_compiles_whole_large_gets_table(self):
-        # coremark's switch-heavy functions exceed the arm cap and keep
-        # handler-table dispatch with native loop regions; treeadd's
-        # functions all fit the whole-function shape.
-        for name, expects_table in (("coremark", True),
-                                    ("treeadd", False)):
-            program = compile_source(WORKLOADS[name].source(1),
-                                     build_options("baseline"))
-            machine = Machine(program,
-                              MachineConfig(engine="superblock"))
-            machine.run()
-            shapes = {type(fn) is list
-                      for fn in machine._fast._super.values()}
-            assert machine._fast._super, "nothing graduated"
-            if expects_table:
-                assert True in shapes, "no table-mode translation"
-            else:
-                assert shapes == {False}, "expected whole-function only"
-
-    def test_superblock_rejects_alien_instruments(self):
-        program = compile_source(SMALL, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(engine="superblock"))
-        machine.tracer = object()
-        with pytest.raises(ReproError, match="superblock"):
-            machine.select_interp()
-
-    def test_superblock_wall_clock_watchdog_fires(self):
-        # A deadline-armed run single-steps (the superblock tier never
-        # engages) so the watchdog polls between instructions.
-        program = compile_source(SPIN, CompilerOptions.baseline())
-        machine = Machine(program, MachineConfig(
-            engine="superblock", max_instructions=2_000_000_000))
-        with pytest.raises(WorkloadTimeout):
-            machine.run(timeout_seconds=0.05)
-
-    @pytest.mark.parametrize("temporal", ["check", "quarantine"])
-    def test_temporal_modes_identical(self, temporal):
-        # Lock-and-key probes sit inline in compiled deref sites; the
-        # superblock translation must keep them byte-identical in both
-        # temporal modes, including a trapping double free.
-        from dataclasses import replace
-        DOUBLE_FREE = """
-        int main(void) {
-            int *p = (int *)malloc(4 * sizeof(int));
-            int i;
-            for (i = 0; i < 4; i++) p[i] = i;
-            free(p);
-            free(p);
-            return 0;
-        }
-        """
-        for source in (SELF_MODIFY_METADATA, DOUBLE_FREE):
-            program = compile_source(source, build_options("subheap"))
-            config = replace(build_machine_config("subheap"),
-                             temporal=temporal)
-            reference = _observables(program, config, "reference")
-            for engine in ("fastpath", "superblock"):
-                assert _observables(program, config, engine) \
-                    == reference, f"{engine} diverged ({temporal})"
-
-    def test_budget_trap_identical_inside_native_loop(self):
-        # The budget must fire at the reference's exact instruction even
-        # when it lands inside a pinned native-loop region (the spill +
-        # single-step fallback path).
-        run = _assert_engines_agree(LOOPY, "baseline",
-                                    max_instructions=150)
-        assert run["trap"][0] == "StepBudgetExceeded"
-        assert run["trap"][2] == 151
 
     def test_elision_counters_engine_identical(self):
         # promote_elisions blends dynamic memo hits with statically
@@ -590,13 +513,3 @@ class TestSuperblockTier:
                                     max_instructions=200_000_000)
         assert run["stats"]["ifp"]["promote_elisions"] > 0
 
-    def test_cache_coherence_under_superblock(self):
-        from dataclasses import replace
-        program = compile_source(SELF_MODIFY_METADATA,
-                                 build_options("subheap"))
-        config = replace(build_machine_config("subheap"),
-                         engine="superblock")
-        machine = Machine(program, config)
-        result = machine.run()
-        assert result.trap is None
-        assert machine.engine_used == "superblock"

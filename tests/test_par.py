@@ -453,12 +453,12 @@ class TestDiffDocuments:
 class TestPoolObservability:
     def test_events_stream_written_and_rendered(self, tmp_path):
         from repro.obs.__main__ import render_pool_events
-        from repro.par.engine import _execute
+        from repro.par.engine import execute_plan
         plan = _selftest_plan(6, 12, 4)
-        outcome = _execute(plan, jobs=2, checkpoint_dir=None,
-                           shard_timeout=None, shard_retries=2,
-                           backoff_base=0.01, log=None,
-                           events_out=str(tmp_path / "events.jsonl"))
+        outcome = execute_plan(plan, jobs=2, checkpoint_dir=None,
+                               shard_timeout=None, shard_retries=2,
+                               backoff_base=0.01, log=None,
+                               events_out=str(tmp_path / "events.jsonl"))
         assert outcome.ok
         records = [json.loads(line) for line in
                    (tmp_path / "events.jsonl").read_text().splitlines()]

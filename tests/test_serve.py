@@ -110,6 +110,8 @@ class TestValidateSpec:
         ({"tenant": "a", "kind": "fuzz",
           "params": {"configs": ["baseline", "nope"]}},
          "params.configs"),
+        ({"tenant": "a", "kind": "fuzz", "params": {"engine": "superblock"}},
+         "params.engine"),
     ])
     def test_invalid_specs_name_the_field(self, body, field):
         with pytest.raises(InvalidJobSpec) as info:
