@@ -182,7 +182,7 @@ class FuzzStats:
 
     def to_dict(self) -> dict:
         """Full JSON form — lossless (unlike :meth:`metrics`, which is
-        the schema-v1 numeric subset).  The shape parallel shard
+        the numeric metrics subset).  The shape parallel shard
         results travel in and checkpoints persist."""
         return {
             "seed": self.seed, "iterations": self.iterations,
@@ -212,9 +212,7 @@ class FuzzStats:
         stats = cls(
             seed=data["seed"], iterations=data["iterations"],
             configs=list(data["configs"]),
-            # absent in checkpoints/manifests written before the
-            # temporal policy existed
-            temporal=data.get("temporal", "off"),
+            temporal=data["temporal"],
             programs=data["programs"],
             executions=data["executions"],
             clean_runs=data["clean_runs"],
@@ -439,7 +437,8 @@ def run_fuzz(iterations: int, seed: int = 0,
     stream is byte-identical to historical campaigns.
     """
     from repro.errors import WorkloadTimeout
-    from repro.resil.retry import call_with_retry, derive_seed
+    from repro.par.seeds import derive_seed
+    from repro.resil.retry import call_with_retry
 
     configs = list(configs) if configs else list(DEFAULT_CONFIGS)
     log = log or (lambda message: print(message))

@@ -56,36 +56,3 @@ def metadata_mac(key: int, base: int, size: int, layout_ptr: int) -> int:
     """MAC over the canonical metadata triple used by all schemes."""
     return compute_mac(key, (base, size, layout_ptr))
 
-
-class MacCache:
-    """Memoizing front-end to :func:`compute_mac` for a fixed key.
-
-    The MAC is a pure function of ``(key, words)``, so memoized results
-    never need invalidation — the simulated outcome of every verification
-    is unaffected, only the host-side recomputation cost disappears.  The
-    ``stats`` object (an :class:`repro.ifp.unit.IFPUnitStats`) receives
-    ``mac_cache_hits``/``mac_cache_misses`` so the obs metrics can report
-    cache effectiveness.  A size cap with clear-on-full bounds host memory
-    under adversarial (fuzz) workloads that mint unbounded distinct words.
-    """
-
-    __slots__ = ("key", "stats", "capacity", "_cache")
-
-    def __init__(self, key: int, stats, capacity: int = 1 << 16):
-        self.key = key
-        self.stats = stats
-        self.capacity = capacity
-        self._cache = {}
-
-    def compute(self, words: tuple) -> int:
-        """Memoized :func:`compute_mac`; ``words`` must be a tuple."""
-        value = self._cache.get(words)
-        if value is not None:
-            self.stats.mac_cache_hits += 1
-            return value
-        self.stats.mac_cache_misses += 1
-        if len(self._cache) >= self.capacity:
-            self._cache.clear()
-        value = compute_mac(self.key, words)
-        self._cache[words] = value
-        return value

@@ -23,7 +23,7 @@ incorrectly-typed pointers still get object-granularity protection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.ifp.bounds import Bounds
 from repro.ifp.config import IFPConfig
@@ -40,31 +40,22 @@ class NarrowResult:
     divisions: int        #: array-element divisions performed
 
 
-#: walk-cache outcome kinds (the fetch phase has three)
-_OUT_OF_RANGE = 0   #: subobject index outside the table
-_MALFORMED = 1      #: malformed entry at depth ``payload``
-_CHAIN = 2          #: valid chain in ``payload``
+def narrow_bounds(port, config: IFPConfig, layout_ptr: int,
+                  object_bounds: Bounds, address: int,
+                  subobject_index: int) -> NarrowResult:
+    """Run the layout-table walk.
 
-#: clear-on-full cap bounding host memory for the walk cache (entries
-#: are tiny — a fetch trace plus a chain tuple — so the cap is generous)
-_WALK_CACHE_CAPACITY = 1 << 14
-
-
-def _fetch_chain(port, config: IFPConfig, layout_ptr: int,
-                 subobject_index: int):
-    """The memory-dependent half of the walk: fetch the entry chain.
-
-    Returns ``(kind, payload)``.  Everything here depends only on the
-    layout table's bytes (not on the pointer's address), which is what
-    makes it cacheable per ``(layout_ptr, subobject_index)``.
+    ``port`` is the IFP unit's metadata port (loads cost cycles).
+    ``subobject_index`` must be non-zero — index 0 means "whole object"
+    and the caller skips narrowing entirely in that case.
     """
     # Entry 0's parent field stores the entry count (see repro.ifp.layout).
     entry_count = port.load(layout_ptr, 2)
     if not (0 < subobject_index < entry_count):
-        return _OUT_OF_RANGE, None
+        return NarrowResult(object_bounds, False, 0, 0)
 
     # Fetch the entry chain from the index up to (not including) entry 0.
-    chain: List[tuple] = []  # (parent, base, bound, size), leaf first
+    chain: List[tuple] = []  # (base, bound, size), leaf first
     index = subobject_index
     while index != 0:
         entry_addr = layout_ptr + index * LAYOUT_ENTRY_BYTES
@@ -75,65 +66,17 @@ def _fetch_chain(port, config: IFPConfig, layout_ptr: int,
         if parent >= index or bound < base or size == 0:
             # Malformed table (hardware validates parent < index to
             # guarantee termination): fail softly to object bounds.
-            return _MALFORMED, len(chain)
-        chain.append((parent, base, bound, size))
+            return NarrowResult(object_bounds, False, len(chain), 0)
+        chain.append((base, bound, size))
         port.add_cycles(config.narrow_step_cycles)
         index = parent
-    return _CHAIN, tuple(chain)
-
-
-def narrow_bounds(port, config: IFPConfig, layout_ptr: int,
-                  object_bounds: Bounds, address: int,
-                  subobject_index: int, walk_cache=None,
-                  stats=None) -> NarrowResult:
-    """Run the layout-table walk.
-
-    ``port`` is the IFP unit's metadata port (loads cost cycles).
-    ``subobject_index`` must be non-zero — index 0 means "whole object"
-    and the caller skips narrowing entirely in that case.
-
-    ``walk_cache`` (optional) memoizes the chain-fetch phase per
-    ``(layout_ptr, subobject_index)``: on a hit the recorded fetch trace
-    is replayed through the port (identical cycles/loads/L1 effects), on
-    a miss it is recorded.  The resolve phase below always runs live —
-    its element divisions depend on the pointer's address.  The caller
-    owns invalidation (stores into the layout-table region).
-    """
-    if walk_cache is not None:
-        key = (layout_ptr, subobject_index)
-        hit = walk_cache.get(key)
-        if hit is not None:
-            if stats is not None:
-                stats.layout_cache_hits += 1
-            kind, trace, extra, payload = hit
-            port.replay(trace, extra)
-        else:
-            if stats is not None:
-                stats.layout_cache_misses += 1
-            port.begin_trace()
-            try:
-                kind, payload = _fetch_chain(port, config, layout_ptr,
-                                             subobject_index)
-            finally:
-                trace, extra = port.end_trace()
-            if len(walk_cache) >= _WALK_CACHE_CAPACITY:
-                walk_cache.clear()
-            walk_cache[key] = (kind, trace, extra, payload)
-    else:
-        kind, payload = _fetch_chain(port, config, layout_ptr,
-                                     subobject_index)
-    if kind == _OUT_OF_RANGE:
-        return NarrowResult(object_bounds, False, 0, 0)
-    if kind == _MALFORMED:
-        return NarrowResult(object_bounds, False, payload, 0)
-    chain = payload
 
     # Resolve top-down.  (lower, upper, elem_size) describe the current
     # subobject; elem_size < span means it is an array of elements.
     lower, upper = object_bounds.lower, object_bounds.upper
     elem_size = upper - lower
     divisions = 0
-    for level, (_parent, base, bound, size) in enumerate(reversed(chain)):
+    for level, (base, bound, size) in enumerate(reversed(chain)):
         if elem_size != upper - lower:
             # Parent is an array: identify the containing element.
             if not (lower <= address < upper):

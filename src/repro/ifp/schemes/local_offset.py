@@ -152,12 +152,11 @@ class LocalOffsetScheme:
     # -- hardware side: lookup ------------------------------------------------
 
     def lookup(self, address: int, tag: PointerTag, port,
-               mac) -> Tuple[Optional[ObjectMetadata], bool]:
+               mac_key: int) -> Tuple[Optional[ObjectMetadata], bool]:
         """Fetch and validate metadata for a promote.
 
-        ``mac`` is the unit's :class:`repro.ifp.mac.MacCache`.  Returns
-        ``(metadata, mac_checked)``; metadata is ``None`` when the record
-        is invalid (size zero / MAC mismatch).
+        Returns ``(metadata, mac_checked)``; metadata is ``None`` when the
+        record is invalid (size zero / MAC mismatch).
         """
         config = self.config
         md_addr = align_down(address, config.granule) \
@@ -168,7 +167,7 @@ class LocalOffsetScheme:
             return None, False
         if config.mac_enabled:
             stored_mac = port.load(md_addr + 10, 6)
-            expected = mac.compute((md_addr, size, layout_ptr))
+            expected = compute_mac(mac_key, (md_addr, size, layout_ptr))
             port.add_cycles(config.mac_cycles)
             if stored_mac != (expected & MAC_MASK):
                 return None, True

@@ -123,11 +123,8 @@ class SubheapScheme:
     # -- hardware side ----------------------------------------------------------
 
     def lookup(self, address: int, tag: PointerTag, port, control_registers,
-               mac) -> Tuple[Optional[ObjectMetadata], bool]:
-        """Fetch and validate the shared block metadata for a promote.
-
-        ``mac`` is the unit's :class:`repro.ifp.mac.MacCache`.
-        """
+               mac_key: int) -> Tuple[Optional[ObjectMetadata], bool]:
+        """Fetch and validate the shared block metadata for a promote."""
         config = self.config
         region = control_registers.subheap_region(
             tag.subheap_register_index(config))
@@ -149,8 +146,8 @@ class SubheapScheme:
             stored_mac = port.load(md_addr + 24, 6)
             packed_geometry = (slot_start | (slot_end << 16)
                                | (slot_size << 32) | (object_size << 48))
-            expected = mac.compute(
-                (block_base, packed_geometry, layout_ptr))
+            expected = compute_mac(
+                mac_key, (block_base, packed_geometry, layout_ptr))
             port.add_cycles(config.mac_cycles)
             if stored_mac != (expected & MAC_MASK):
                 return None, True

@@ -20,7 +20,6 @@ from typing import List, Optional
 from repro.errors import ResourceExhausted
 from repro.ifp.bounds import Bounds
 from repro.ifp.config import IFPConfig, DEFAULT_CONFIG
-from repro.ifp.mac import MacCache
 from repro.ifp.narrow import narrow_bounds
 from repro.ifp.poison import Poison
 from repro.ifp.promote import PromoteOutcome, PromoteResult
@@ -102,12 +101,11 @@ class MetadataPort:
         #: set by the promote engine so injected corruption can target
         #: metadata words vs. layout-table entries
         self.phase = None
-        # Trace-recording stack for the host-side promote/layout caches:
-        # each frame is ``[loads, extra]`` where ``loads`` is the ordered
-        # (address, size) fetch sequence and ``extra`` the deterministic
-        # add_cycles total.  Nested frames (a layout-walk recording inside
-        # a promote recording) merge into their parent on end_trace.
-        self._trace_stack = []
+        # Trace recording for the host-side promote-result cache: while a
+        # promote records, ``[loads, extra]`` where ``loads`` is the
+        # ordered (address, size) fetch sequence and ``extra`` the
+        # deterministic add_cycles total; None otherwise.
+        self._trace = None
 
     def load(self, address: int, size: int) -> int:
         self.loads += 1
@@ -121,8 +119,8 @@ class MetadataPort:
                 self.cycles += 1
             self._buffered_line = last_line
         value = self.memory.load_int(address, size)
-        if self._trace_stack:
-            self._trace_stack[-1][0].append((address, size))
+        if self._trace is not None:
+            self._trace[0].append((address, size))
         if self.faults is not None:
             value = self.faults.on_metadata_load(address, size, value,
                                                  self.phase)
@@ -130,31 +128,26 @@ class MetadataPort:
 
     def add_cycles(self, cycles: int) -> None:
         self.cycles += cycles
-        if self._trace_stack:
-            self._trace_stack[-1][1] += cycles
+        if self._trace is not None:
+            self._trace[1] += cycles
 
     # -- cache support: record / replay fetch sequences -----------------------
 
     def begin_trace(self) -> None:
-        """Start recording the fetch sequence (nestable)."""
-        self._trace_stack.append([[], 0])
+        """Start recording the fetch sequence."""
+        self._trace = [[], 0]
 
     def end_trace(self):
-        """Stop recording; returns ``(loads, extra)`` and folds the frame
-        into the enclosing recording, if any."""
-        loads, extra = self._trace_stack.pop()
-        if self._trace_stack:
-            outer = self._trace_stack[-1]
-            outer[0].extend(loads)
-            outer[1] += extra
+        """Stop recording; returns ``(loads, extra)``."""
+        loads, extra = self._trace
+        self._trace = None
         return loads, extra
 
     def trace_mark(self):
-        """Snapshot ``(loads so far, extra so far)`` of the current
-        recording frame; the promote engine uses it to split a recorded
-        trace at the metadata/layout phase boundary."""
-        frame = self._trace_stack[-1]
-        return len(frame[0]), frame[1]
+        """Snapshot ``(loads so far, extra so far)`` of the recording;
+        the promote engine uses it to split a recorded trace at the
+        metadata/layout phase boundary."""
+        return len(self._trace[0]), self._trace[1]
 
     def replay(self, trace, extra: int) -> None:
         """Re-apply a recorded fetch sequence without touching memory.
@@ -177,10 +170,6 @@ class MetadataPort:
                     self.cycles += 1
                 self._buffered_line = last_line
         self.cycles += extra
-        if self._trace_stack:
-            frame = self._trace_stack[-1]
-            frame[0].extend(trace)
-            frame[1] += extra
 
 
 @dataclass
@@ -204,19 +193,13 @@ class IFPUnitStats:
     temporal_probes: int = 0           #: promote-time lock==key comparisons
     temporal_faults: int = 0           #: promote-time temporal violations
     promote_cycles: int = 0
-    # Host-side cache effectiveness (no simulated-cost meaning; the caches
-    # change nothing about simulated cycles/loads, only host work).
-    mac_cache_hits: int = 0
-    mac_cache_misses: int = 0
-    layout_cache_hits: int = 0
-    layout_cache_misses: int = 0
+    # Host-side cache effectiveness (no simulated-cost meaning; the cache
+    # changes nothing about simulated cycles/loads, only host work).
     promote_cache_hits: int = 0
     promote_cache_misses: int = 0
     #: promotes served straight from the last-promote memo — the check
     #: elision path (dynamic memo hits plus statically proven sites)
     promote_elisions: int = 0
-    #: entries discarded at a generation swap (capacity pressure)
-    promote_cache_evictions: int = 0
     #: entries dropped because a guest store hit their metadata lines
     promote_cache_invalidations: int = 0
 
@@ -226,28 +209,14 @@ class IFPUnitStats:
                 + self.promotes_poisoned)
 
 
-#: counters that track cache queries themselves — excluded from the
-#: promote-cache's replayed stat deltas (a replayed promote performs no
-#: MAC/layout-cache queries)
+#: host-cache counters: they measure host work only and are not part of
+#: the paper model
 _CACHE_COUNTER_FIELDS = frozenset((
-    "mac_cache_hits", "mac_cache_misses",
-    "layout_cache_hits", "layout_cache_misses",
     "promote_cache_hits", "promote_cache_misses",
-    "promote_elisions", "promote_cache_evictions",
-    "promote_cache_invalidations",
+    "promote_elisions", "promote_cache_invalidations",
 ))
 
-#: stat fields *excluded* from the promote-result cache's replayed
-#: deltas: ``promote_cycles`` because a replay recomputes it from the
-#: live metadata-port cycle delta (line-buffer state differs per
-#: replay), and the cache counters because a replayed promote performs
-#: no MAC/layout-cache queries
-_PROMOTE_DELTA_EXCLUDED = _CACHE_COUNTER_FIELDS | {"promote_cycles"}
-
-#: per-generation capacity bounding host memory under adversarial
-#: inputs; eviction is generational (the full current generation becomes
-#: the previous one, whose entries are still hit-able until the *next*
-#: swap discards them), so there is no clear-on-full cliff
+#: clear-on-full cap bounding host memory under adversarial inputs
 _PROMOTE_CACHE_CAPACITY = 1 << 16
 
 
@@ -265,8 +234,6 @@ class IFPUnit:
         self.subheap = SubheapScheme(config)
         self.global_table = GlobalTableScheme(config)
         self.stats = IFPUnitStats()
-        #: memoized MAC engine shared by the schemes' lookup paths
-        self.mac = MacCache(mac_key, self.stats)
         #: observer shared with the machine (repro.obs.attach_observer);
         #: None keeps every emission on its zero-cost disabled path
         self.obs = None
@@ -277,26 +244,22 @@ class IFPUnit:
         #: attached by the Machine when ``MachineConfig.temporal`` is not
         #: "off"; None keeps promote free of any lock probing
         self.temporal = None
-        # Host-side result caches.  Both are active under *both* execution
-        # engines (reference and fastpath), which is what keeps RunStats /
-        # IFPUnitStats trivially identical across engines; they are
-        # bypassed whenever a fault injector is armed.  An armed observer
-        # no longer bypasses them: each entry carries a phase-split trace
-        # plus the static facts of its emissions, so a replay re-emits the
-        # exact event sequence a recomputed promote would.
-        self._promote_cache = {}      # version-vector key -> entry (current)
-        self._promote_prev = {}       # previous generation, still hit-able
-        self._promote_deps = {}       # 64-byte line -> {keys} (current gen)
-        self._promote_deps_prev = {}  # same, for the previous generation
-        self._layout_cache = {}       # (layout_ptr, subobject_index) -> walk
-        self._layout_env = (0, 0)     # [base, end) of compile-time tables
+        # Host-side promote-result cache.  It is active under *both*
+        # execution engines (reference and fastpath), which is what keeps
+        # RunStats / IFPUnitStats trivially identical across engines; it
+        # is bypassed whenever a fault injector is armed.  An armed
+        # observer does not bypass it: each entry carries a phase-split
+        # trace plus the static facts of its emissions, so a replay
+        # re-emits the exact event sequence a recomputed promote would.
+        self._promote_cache = {}      # version-vector key -> entry
+        self._promote_deps = {}       # 64-byte line -> {keys}
         #: unmap generation — joins the cache key, so an unmap is an O(1)
         #: version bump instead of a full flush
         self._mem_epoch = 0
         # Last-promote memo (the check-elision fast path): valid while
         # no entry has been dropped since it was set.  ``_inval_epoch``
         # bumps whenever any cached promote is discarded (store snoop,
-        # generation swap, unmap), which over-approximates "this memo's
+        # capacity clear, unmap), which over-approximates "this memo's
         # entry died" safely.
         self._memo = None             # (key, entry) of the last promote
         self._memo_epoch = -1
@@ -307,16 +270,6 @@ class IFPUnit:
         memory.unmap_watcher = self.on_unmap
 
     # -- cache plumbing --------------------------------------------------------
-
-    def set_layout_envelope(self, base: int, end: int) -> None:
-        """Declare the loader's contiguous layout-table region.
-
-        Only walks whose ``layout_ptr`` falls inside the envelope are
-        cached, so store-snooping the region with two compares is a sound
-        invalidation rule (pointers outside it — e.g. forged by a fuzzed
-        guest — always walk live).
-        """
-        self._layout_env = (base, end)
 
     def snoop_store(self, address: int, size: int) -> None:
         """Guest-store snoop (installed as ``Memory.watcher``).
@@ -332,24 +285,17 @@ class IFPUnit:
         buffered = port._buffered_line
         if buffered >= 0 and first <= buffered <= last:
             port._buffered_line = -1
-        if self._layout_cache:
-            lo, hi = self._layout_env
-            if address < hi and address + size > lo:
-                self._layout_cache.clear()
+        deps = self._promote_deps
+        if not deps:
+            return
         dropped = 0
         cache = self._promote_cache
-        prev = self._promote_prev
-        for deps in (self._promote_deps, self._promote_deps_prev):
-            if not deps:
-                continue
-            for line in range(first, last + 1):
-                keys = deps.pop(line, None)
-                if keys:
-                    for key in keys:
-                        if cache.pop(key, None) is not None:
-                            dropped += 1
-                        if prev and prev.pop(key, None) is not None:
-                            dropped += 1
+        for line in range(first, last + 1):
+            keys = deps.pop(line, None)
+            if keys:
+                for key in keys:
+                    if cache.pop(key, None) is not None:
+                        dropped += 1
         if dropped:
             self.stats.promote_cache_invalidations += dropped
             self._inval_epoch += 1
@@ -357,12 +303,10 @@ class IFPUnit:
     def on_unmap(self, base: int, size: int) -> None:
         """Unmap snoop (installed as ``Memory.unmap_watcher``): bump the
         memory epoch so every cached promote key goes stale — unmapped
-        metadata must fault again on promote.  Stale entries age out at
-        the next generation swaps instead of being scanned here."""
+        metadata must fault again on promote.  Stale entries are not
+        scanned here; the capacity clear eventually drops them."""
         self._mem_epoch += 1
         self._inval_epoch += 1
-        if self._layout_cache:
-            self._layout_cache.clear()
 
     # -- the promote instruction ----------------------------------------------
 
@@ -394,12 +338,6 @@ class IFPUnit:
                 stats.promote_elisions += 1
                 return self._replay_promote(memo[1])
             cached = self._promote_cache.get(key)
-            if cached is None and self._promote_prev:
-                cached = self._promote_prev.get(key)
-                if cached is not None:
-                    # resurrect into the current generation so it outlives
-                    # the next swap; its line deps re-register with it
-                    self._insert_promote(key, cached)
             if cached is not None:
                 stats.promote_cache_hits += 1
                 self._memo = (key, cached)
@@ -414,11 +352,13 @@ class IFPUnit:
                 result = self._promote_execute(pointer, rec)
             finally:
                 trace, extra = port.end_trace()
+            # promote_cycles is left out: a replay recomputes it from the
+            # live metadata-port cycle delta (line-buffer state differs
+            # per replay)
             after = stats.__dict__
-            excluded = _PROMOTE_DELTA_EXCLUDED
             deltas = [(name, after[name] - value)
                       for name, value in before.items()
-                      if after[name] != value and name not in excluded]
+                      if after[name] != value and name != "promote_cycles"]
             self._remember_promote(key, result, trace, extra, deltas, rec)
             return result
         return self._promote_execute(pointer)
@@ -494,29 +434,19 @@ class IFPUnit:
         entry = (result.pointer, result.bounds, result.outcome,
                  result.narrowed, result.narrow_attempted,
                  trace, extra, tuple(deltas), script)
-        self._insert_promote(key, entry)
-        self._memo = (key, entry)
-        self._memo_epoch = self._inval_epoch
-
-    def _insert_promote(self, key, entry) -> None:
         cache = self._promote_cache
+        deps = self._promote_deps
         if len(cache) >= _PROMOTE_CACHE_CAPACITY:
-            # Generation swap: the current generation stays hit-able as
-            # the previous one; what was previous is discarded along with
-            # its dependency index.  The memo may reference a discarded
-            # entry, so the invalidation epoch must advance.
-            discarded = self._promote_prev
-            self._promote_prev = cache
-            self._promote_deps_prev = self._promote_deps
-            self._promote_cache = cache = {}
-            self._promote_deps = {}
-            if discarded:
-                self.stats.promote_cache_evictions += len(discarded)
+            # Clear on full.  The memo may reference a dropped entry, so
+            # the invalidation epoch must advance.
+            cache.clear()
+            deps.clear()
             self._inval_epoch += 1
         cache[key] = entry
-        deps = self._promote_deps
+        self._memo = (key, entry)
+        self._memo_epoch = self._inval_epoch
         lines = set()
-        for address, size in entry[5]:
+        for address, size in trace:
             first = address >> 6
             last = (address + size - 1) >> 6
             lines.add(first)
@@ -572,11 +502,11 @@ class IFPUnit:
         if tag.scheme is Scheme.LOCAL_OFFSET:
             stats.lookups_local_offset += 1
             metadata, mac_checked = self.local_offset.lookup(
-                address, tag, self.port, self.mac)
+                address, tag, self.port, self.mac_key)
         elif tag.scheme is Scheme.SUBHEAP:
             stats.lookups_subheap += 1
             metadata, mac_checked = self.subheap.lookup(
-                address, tag, self.port, self.control, self.mac)
+                address, tag, self.port, self.control, self.mac_key)
         else:
             stats.lookups_global_table += 1
             metadata, mac_checked = self.global_table.lookup(
@@ -649,16 +579,10 @@ class IFPUnit:
                 if obs is not None:
                     obs.narrow(narrow_event)
             else:
-                walk_cache = None
-                if self.faults is None and self.port.faults is None:
-                    env_lo, env_hi = self._layout_env
-                    if env_lo <= metadata.layout_ptr < env_hi:
-                        walk_cache = self._layout_cache
                 self.port.phase = "layout"
                 result = narrow_bounds(self.port, config,
                                        metadata.layout_ptr, bounds,
-                                       address, subobject_index,
-                                       walk_cache, stats)
+                                       address, subobject_index)
                 self.port.phase = None
                 if result.exact:
                     stats.narrow_success += 1

@@ -185,8 +185,7 @@ def render_hotpath(cells: "dict[str, object]") -> str:
                     key=lambda item: item[1].promote_cache_misses,
                     reverse=True)
     header = (f"{'cell':24s} {'promotes':>9s} {'elided':>7s} "
-              f"{'cache':>6s} {'mac':>6s} {'walk':>6s} "
-              f"{'miss':>8s} {'inval':>6s}")
+              f"{'cache':>6s} {'miss':>8s} {'inval':>6s}")
     lines = [header, "-" * len(header)]
     for key, ifp in ranked:
         valid = ifp.promotes_valid or 0
@@ -195,15 +194,12 @@ def render_hotpath(cells: "dict[str, object]") -> str:
         lines.append(
             f"{key:24s} {valid:9d} {elided:>7s} "
             f"{rate(ifp.promote_cache_hits, ifp.promote_cache_misses):>6s} "
-            f"{rate(ifp.mac_cache_hits, ifp.mac_cache_misses):>6s} "
-            f"{rate(ifp.layout_cache_hits, ifp.layout_cache_misses):>6s} "
             f"{ifp.promote_cache_misses:8d} "
             f"{ifp.promote_cache_invalidations:6d}")
     lines.append(
-        "elided = promotes served by the check-elision memo; cache/mac/"
-        "walk = hit rates of the promote-result, MAC, and layout-walk "
-        "caches; miss = promotes still walking metadata on the host; "
-        "inval = store-snoop invalidations")
+        "elided = promotes served by the check-elision memo; cache = "
+        "hit rate of the promote-result cache; miss = promotes still "
+        "walking metadata on the host; inval = store-snoop invalidations")
     return "\n".join(lines)
 
 
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
     report.add_argument("--top", type=int, default=10,
                         help="sites to show (default 10)")
     report.add_argument("--metrics-out", metavar="JSON",
-                        help="write schema-v1 metrics JSON here")
+                        help="write metrics JSON here")
     report.add_argument("--prometheus", action="store_true",
                         help="also print Prometheus text format")
     report.add_argument("--par-events", metavar="JSONL",

@@ -5,11 +5,12 @@ Everything the repo measures — harness runs, fuzzing campaigns, the
 downstream tooling can rely on one shape::
 
     {
-      "schema": "repro.obs.metrics/v1",
+      "schema": "repro.obs.metrics/v2",
       "name": "<run or bench name>",
       "timestamp": <unix seconds, float>,
       "config": <str or flat dict describing the configuration>,
-      "metrics": {<str>: <number> | {<str>: <number> | {...}}, ...}
+      "metrics": {<str>: <number> | {<str>: <number> | {...}}, ...},
+      "labels": {<str>: <str>, ...}            (optional)
     }
 
 ``metrics`` values are numbers or nested string-keyed dicts of numbers
@@ -17,15 +18,12 @@ downstream tooling can rely on one shape::
 :func:`to_prometheus` flattens the nesting with ``_`` joins into
 ``repro_<metric>{name=...,config=...} <value>`` exposition lines.
 
-Schema v2 (``repro.obs.metrics/v2``) adds one optional top-level field,
-``labels`` — a *flat* string-to-string mapping for identity that is not
-a measurement: the engine that produced a run ("fastpath"/"reference")
-and the :class:`~repro.obs.events.TraceContext` correlation ids
-(tenant, job, shard, seed).  ``to_prometheus`` merges them into every
-exposition line's label set.  v1 documents stay valid and are still
-written wherever byte-stable comparison against historical artifacts
-matters (the ``repro.par diff`` gates); :func:`validate_document`
-accepts both versions.
+The optional ``labels`` field is a *flat* string-to-string mapping for
+identity that is not a measurement: the engine that produced a run
+("fastpath"/"reference") and the
+:class:`~repro.obs.events.TraceContext` correlation ids (tenant, job,
+shard, seed).  ``to_prometheus`` merges them into every exposition
+line's label set.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ import time
 from dataclasses import fields
 from typing import Any, Dict, List, Optional, Union
 
-SCHEMA = "repro.obs.metrics/v1"
-SCHEMA_V2 = "repro.obs.metrics/v2"
+SCHEMA = "repro.obs.metrics/v2"
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +66,10 @@ def metrics_document(name: str, config: Union[str, Dict[str, Any]],
                      timestamp: Optional[float] = None,
                      labels: Optional[Dict[str, str]] = None
                      ) -> Dict[str, Any]:
-    """Assemble one metrics document (timestamp defaults to now).
-
-    Without ``labels`` this is a byte-stable schema-v1 document;
-    passing ``labels`` (engine, correlation ids) upgrades it to v2.
-    """
+    """Assemble one metrics document (timestamp defaults to now);
+    ``labels`` (engine, correlation ids) is optional."""
     doc = {
-        "schema": SCHEMA if labels is None else SCHEMA_V2,
+        "schema": SCHEMA,
         "name": name,
         "timestamp": time.time() if timestamp is None else timestamp,
         "config": config,
@@ -110,9 +104,8 @@ def validate_document(doc: Any) -> List[str]:
     if not isinstance(doc, dict):
         return [f"document: expected object, got {type(doc).__name__}"]
     schema = doc.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V2):
-        errors.append(f"schema: expected {SCHEMA!r} or {SCHEMA_V2!r}, "
-                      f"got {schema!r}")
+    if schema != SCHEMA:
+        errors.append(f"schema: expected {SCHEMA!r}, got {schema!r}")
     if not isinstance(doc.get("name"), str) or not doc.get("name"):
         errors.append("name: expected non-empty string")
     timestamp = doc.get("timestamp")
@@ -127,15 +120,12 @@ def validate_document(doc: Any) -> List[str]:
         errors.append("metrics: expected object")
     else:
         _check_metrics(metrics, "metrics", errors)
-    allowed = {"schema", "name", "timestamp", "config", "metrics"}
-    if schema == SCHEMA_V2:
-        allowed.add("labels")
-        labels = doc.get("labels", {})
-        if not isinstance(labels, dict) or any(
-                not isinstance(key, str) or not isinstance(value, str)
-                for key, value in labels.items()):
-            errors.append("labels: expected flat string-to-string "
-                          "mapping")
+    labels = doc.get("labels", {})
+    if not isinstance(labels, dict) or any(
+            not isinstance(key, str) or not isinstance(value, str)
+            for key, value in labels.items()):
+        errors.append("labels: expected flat string-to-string mapping")
+    allowed = {"schema", "name", "timestamp", "config", "metrics", "labels"}
     for key in doc:
         if key not in allowed:
             errors.append(f"{key}: unknown top-level field")
@@ -187,7 +177,7 @@ def _sanitize(label: str) -> str:
 def to_prometheus(doc: Dict[str, Any]) -> str:
     """Render one document in Prometheus exposition text format.
 
-    v2 documents' ``labels`` (engine/correlation) join the per-line
+    The document's ``labels`` (engine/correlation) join the per-line
     label set after ``name`` and ``config``.
     """
     config = doc["config"]

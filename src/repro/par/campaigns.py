@@ -71,8 +71,7 @@ def run_fuzz_shard(shard: Dict[str, Any], attempt: int
         backoff_base=params["backoff_base"],
         engine=params.get("engine", "auto"),
         trace=shard.get("trace"),
-        # absent from plans built before the temporal policy existed
-        temporal=params.get("temporal", "off"))
+        temporal=params["temporal"])
     return stats.to_dict()
 
 
@@ -131,8 +130,7 @@ def run_juliet_shard(shard: Dict[str, Any], attempt: int
     options = CompilerOptions.subheap() \
         if params.get("allocator") == "subheap" \
         else CompilerOptions.wrapped()
-    # absent from plans built before the temporal policy existed
-    temporal = params.get("temporal", "off")
+    temporal = params["temporal"]
     cases = generate_cases()
     if temporal != "off":
         cases = cases + generate_temporal_cases()

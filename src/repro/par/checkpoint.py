@@ -29,8 +29,8 @@ Integrity: shard result documents are schema
 canonical JSON of the payload, and both :meth:`Checkpoint.open` and
 :meth:`Checkpoint.load_result` verify it.  A bit-flipped result file
 (the ``corrupt_result`` chaos fault, a dying disk) therefore re-runs
-its shard rather than poisoning the merge.  Legacy ``/v1`` documents
-(no checksum) are still accepted.
+its shard rather than poisoning the merge.  A document in any other
+schema is not intact either.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ MANIFEST_NAME = "manifest.json"
 EVENTS_NAME = "events.jsonl"
 
 RESULT_SCHEMA = "repro.par.shard_result/v2"
-RESULT_SCHEMA_V1 = "repro.par.shard_result/v1"
 QUARANTINE_SCHEMA = "repro.par.quarantine/v1"
 
 
@@ -59,6 +58,22 @@ class CheckpointMismatch(ReproError, ValueError):
     ``from_dict`` and crosses the campaign-service API boundary typed;
     it stays a :class:`ValueError` for existing callers.
     """
+
+
+def _result_problem(document: Any, shard_id: int) -> Optional[str]:
+    """Why ``document`` is not an intact result for ``shard_id`` (a
+    current-schema document naming the shard whose payload passes its
+    checksum), or None when it is."""
+    if not isinstance(document, dict) or "result" not in document:
+        return "not a shard result document"
+    if document.get("shard_id") != shard_id:
+        return f"shard_id {document.get('shard_id')!r} != {shard_id}"
+    if document.get("schema") != RESULT_SCHEMA:
+        return (f"schema {document.get('schema')!r} != "
+                f"{RESULT_SCHEMA!r}")
+    if document.get("crc32") != crc32_of_json(document["result"]):
+        return "payload checksum mismatch (corrupt shard result)"
+    return None
 
 
 class Checkpoint:
@@ -195,22 +210,14 @@ class Checkpoint:
     # -- reads --------------------------------------------------------------
 
     def _result_intact(self, shard_id: int) -> bool:
-        """True when the shard's result document exists, parses,
-        identifies itself as this shard's result, and (schema v2)
-        passes its payload checksum."""
+        """True when the shard's result document exists, parses, and
+        passes :func:`_result_problem`."""
         try:
             with open(self.result_path(shard_id)) as handle:
                 document = json.load(handle)
         except (OSError, ValueError):
             return False
-        if not (isinstance(document, dict)
-                and document.get("shard_id") == shard_id
-                and "result" in document):
-            return False
-        if document.get("schema") == RESULT_SCHEMA:
-            return document.get("crc32") \
-                == crc32_of_json(document["result"])
-        return True     # legacy /v1 documents carry no checksum
+        return _result_problem(document, shard_id) is None
 
     def result_path(self, shard_id: int) -> str:
         return os.path.join(self.directory, f"shard-{shard_id:04d}.json")
@@ -222,16 +229,9 @@ class Checkpoint:
     def load_result(self, shard_id: int) -> Dict[str, Any]:
         with open(self.result_path(shard_id)) as handle:
             document = json.load(handle)
-        if document.get("shard_id") != shard_id:
-            raise ValueError(
-                f"{self.result_path(shard_id)}: shard_id "
-                f"{document.get('shard_id')!r} != {shard_id}")
-        if document.get("schema") == RESULT_SCHEMA \
-                and document.get("crc32") \
-                != crc32_of_json(document["result"]):
-            raise ValueError(
-                f"{self.result_path(shard_id)}: payload checksum "
-                f"mismatch (corrupt shard result)")
+        problem = _result_problem(document, shard_id)
+        if problem is not None:
+            raise ValueError(f"{self.result_path(shard_id)}: {problem}")
         return document["result"]
 
     def statuses(self) -> Dict[int, str]:

@@ -98,13 +98,8 @@ def plan_fuzz(iterations: int, seed: int, *, configs: Sequence[str],
         "minimize": minimize, "max_attacks": max_attacks,
         "plant_bug": False, "timeout_seconds": timeout_seconds,
         "retries": retries, "backoff_base": backoff_base,
-        "engine": engine,
+        "engine": engine, "temporal": temporal,
     }
-    # Only record the temporal policy when armed: a plan built with the
-    # default stays byte-identical to pre-temporal plans, so checkpoint
-    # fingerprints of old manifests keep verifying.
-    if temporal != "off":
-        params["temporal"] = temporal
     shards = default_shard_count(iterations, jobs, shard_size)
     plan = plan_range("fuzz", seed, iterations, params=params,
                       shards=shards,
@@ -138,8 +133,7 @@ def parallel_fuzz(plan: ShardPlan, *, jobs: int,
     stats = merge_fuzz_stats(outcome.ordered_results(plan),
                              seed=plan.seed,
                              configs=plan.params["configs"],
-                             temporal=plan.params.get("temporal",
-                                                      "off"))
+                             temporal=plan.params["temporal"])
     stats.elapsed = outcome.wall_seconds
     return stats, outcome
 
@@ -206,17 +200,13 @@ def plan_juliet(*, seed: int = 0, allocator: str = "wrapped",
     With ``temporal`` armed the case list additionally includes the
     CWE-415/CWE-416 lifetime families
     (:func:`repro.juliet.cases.generate_temporal_cases`) and every
-    machine runs with the lock-and-key policy; the parameter is only
-    recorded in the plan when non-default, so fingerprints of
-    pre-temporal manifests keep verifying.
+    machine runs with the lock-and-key policy.
     """
     from repro.juliet.cases import generate_cases, generate_temporal_cases
     total = len(generate_cases())
     if temporal != "off":
         total += len(generate_temporal_cases())
-    params = {"allocator": allocator}
-    if temporal != "off":
-        params["temporal"] = temporal
+    params = {"allocator": allocator, "temporal": temporal}
     shards = default_shard_count(total, jobs, shard_size)
     return plan_indices("juliet", seed, list(range(total)),
                         params=params, shards=shards)
@@ -238,7 +228,7 @@ def parallel_juliet(plan: ShardPlan, *, jobs: int,
         bus=bus, stop=stop, context=context,
         quarantine=quarantine, chaos=chaos)
     return merge_juliet(outcome.ordered_results(plan),
-                        temporal=plan.params.get("temporal", "off")), \
+                        temporal=plan.params["temporal"]), \
         outcome
 
 

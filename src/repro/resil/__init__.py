@@ -19,7 +19,7 @@ module          role
 ==============  ======================================================
 
 ``python -m repro.resil`` runs a campaign and writes the matrix as a
-``repro.obs.metrics/v1`` document.
+``repro.obs.metrics`` document.
 
 Import discipline: this package root must stay importable from
 ``repro.vm.machine`` (which carries the policy), so it only pulls in
@@ -33,7 +33,8 @@ from repro.resil.faults import (
 from repro.resil.policy import (
     DEFAULT_POLICY, DEGRADE, STRICT, STRICT_POLICY, DegradationPolicy,
 )
-from repro.resil.retry import call_with_retry, derive_seed
+from repro.par.seeds import derive_seed
+from repro.resil.retry import call_with_retry
 
 __all__ = [
     "DEFAULT_POLICY", "DEGRADE", "FAULT_CLASSES", "FaultInjector",

@@ -46,7 +46,7 @@ from repro.resil.faults import FAULT_CLASSES, FaultInjector, FaultPlan
 from repro.resil.policy import (
     DEFAULT_POLICY, STRICT_POLICY, DegradationPolicy,
 )
-from repro.resil.retry import derive_seed
+from repro.par.seeds import derive_seed
 from repro.vm import Machine, MachineConfig
 from repro.workloads import Workload, get as get_workload
 

@@ -7,7 +7,7 @@ reproduction harness:
 * **Determinism**: a retried attempt must not silently re-run the same
   seed (a genuinely deterministic hang would just hang again) nor draw
   from global randomness (the campaign would stop being replayable).
-  :func:`repro.par.seeds.derive_seed` (re-exported here) folds the
+  :func:`repro.par.seeds.derive_seed` folds the
   attempt number into the base seed with the splitmix64 finalizer, so
   attempt *k* of seed *s* is a pure function of ``(s, k)``.
 * **Bounded, predictable backoff**: delays grow as
@@ -21,8 +21,7 @@ reproduction harness:
 
 Seed derivation and the backoff schedule live in
 :mod:`repro.par.seeds` so the parallel campaign engine shares the
-exact same sequences; this module keeps its historical names as
-re-exports.
+exact same sequences.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import Callable, Optional, Tuple, Type
 from repro.errors import WorkloadTimeout
 from repro.par.seeds import backoff_delay, derive_seed, jittered_backoff
 
-__all__ = ["backoff_delay", "call_with_retry", "derive_seed",
-           "jittered_backoff"]
+__all__ = ["call_with_retry"]
 
 
 def call_with_retry(fn: Callable[[int], object], *,

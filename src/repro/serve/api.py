@@ -14,7 +14,7 @@ Routes::
                                                       -> 200 NDJSON
     DELETE /jobs/<id>         cancel                  -> 200 record
     GET    /metrics           Prometheus exposition   -> 200 text
-    GET    /metrics?format=json   schema-v2 document  -> 200 JSON
+    GET    /metrics?format=json   metrics document    -> 200 JSON
     GET    /healthz           liveness + job counts   -> 200 JSON
 
 The events endpoint returns one JSON object per line (NDJSON), each

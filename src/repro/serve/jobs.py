@@ -321,11 +321,7 @@ def build_plan(kind: str, params: Dict[str, Any],
             retries=p.pop("retries"),
             backoff_base=p.pop("backoff_base"),
             jobs=workers, shard_size=p.pop("shard_size"),
-            engine=p.pop("engine"),
-            # specs persisted before the temporal policy existed
-            # resolve to "off", which plan_fuzz keeps out of the plan
-            # params — the fingerprint stays stable either way
-            temporal=p.pop("temporal", "off"))
+            engine=p.pop("engine"), temporal=p.pop("temporal"))
     if kind == "resil":
         from repro.par.engine import plan_resil
         return plan_resil(
@@ -339,7 +335,7 @@ def build_plan(kind: str, params: Dict[str, Any],
         from repro.par.engine import plan_juliet
         return plan_juliet(
             seed=params["seed"], allocator=params["allocator"],
-            temporal=params.get("temporal", "off"),
+            temporal=params["temporal"],
             jobs=workers, shard_size=params["shard_size"])
     if kind == "bench":
         from repro.par.engine import plan_bench

@@ -479,7 +479,7 @@ class CampaignService:
             }
 
     def metrics(self) -> Dict[str, Any]:
-        """One schema-v2 metrics document describing the service.
+        """One metrics document describing the service.
 
         Besides the service-wide gauges, ``per_shard`` rolls the
         correlated event rings up per job and shard — event, retry, and

@@ -89,6 +89,7 @@ from repro.errors import (
 )
 from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
+from repro.ifp.mac import compute_mac
 from repro.mem.layout import ADDRESS_MASK
 from repro.obs.events import BoundsSpillEvent, CheckEvent, PromoteEvent
 from repro.temporal import temporal_violation
@@ -262,7 +263,7 @@ class _FuncCompiler:
             "mem_load": interp.memory.load_int,
             "mem_store": interp.memory.store_int,
             "memory": interp.memory,
-            "mac_compute": interp.ifp.mac.compute,
+            "mac_compute": compute_mac, "MAC_KEY": interp.ifp.mac_key,
             "tagged": interp._ifpadd_tagged,
             "promote": interp.ifp.promote,
             "elide": interp.ifp.elide_promote,
@@ -597,7 +598,7 @@ class _FuncCompiler:
         if op == Op.IFPMAC:
             mac_cycles = self.interp.machine.config.ifp.mac_cycles
             lines = [
-                f"regs[{d}] = mac_compute((regs[{a}] & ADDRESS_MASK,"
+                f"regs[{d}] = mac_compute(MAC_KEY, (regs[{a}] & ADDRESS_MASK,"
                 f" {imm}, regs[{b}]))",
                 f"bnds[{d}] = None",
             ]

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.compiler.ir import IRFunction, Op
 from repro.ifp.bounds import Bounds
+from repro.ifp.mac import compute_mac
 from repro.mem.layout import ADDRESS_MASK
 from repro.obs.events import BoundsSpillEvent, CheckEvent, PromoteEvent
 from repro.temporal import temporal_violation
@@ -545,7 +546,8 @@ class Interpreter:
                 elif op == Op.IFPMAC:
                     arith_i += 1
                     cycles += 1 + self.machine.config.ifp.mac_cycles
-                    regs[ins.dst] = self.ifp.mac.compute(
+                    regs[ins.dst] = compute_mac(
+                        self.ifp.mac_key,
                         (regs[ins.a] & ADDRESS_MASK, ins.imm, regs[ins.b]))
                     bnds[ins.dst] = None
 

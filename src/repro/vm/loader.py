@@ -28,12 +28,6 @@ class LoadedImage:
     global_info: Dict[str, Tuple[int, int, int, bool]] = \
         field(default_factory=dict)
     globals_end: int = 0
-    #: [base, end) envelope of the compile-time layout tables — the
-    #: loader places them contiguously, so the IFP unit can snoop guest
-    #: stores into the region with two compares (layout-walk cache
-    #: invalidation).  ``(0, 0)`` when the program has no tables.
-    layout_tables_base: int = 0
-    layout_tables_end: int = 0
 
 
 #: spacing between synthetic function entry points
@@ -58,15 +52,11 @@ def load_program(program: IRProgram, memory: Memory,
     cursor += len(program.functions) * _FUNC_STRIDE
 
     # Layout tables (read-only data, placed contiguously).
-    if program.layout_tables:
-        image.layout_tables_base = _align(cursor, 16)
     for symbol, table in program.layout_tables.items():
         cursor = _align(cursor, 16)
         table.address = cursor
         image.symbols[symbol] = cursor
         cursor += len(table.data)
-    if program.layout_tables:
-        image.layout_tables_end = cursor
 
     # Globals, with appended-metadata reserve where needed.
     for name, glob in program.globals.items():

@@ -231,15 +231,20 @@ class TestCheckpointIntegrity:
         assert resumed.open(plan) == set()   # demoted, will re-run
         assert resumed.statuses()[0] == "pending"
 
-    def test_legacy_v1_results_still_restore(self, tmp_path):
+    def test_legacy_v1_results_rerun_their_shard(self, tmp_path):
+        # a result without the current schema and a matching crc32 is
+        # not intact: loading it raises and a resume re-runs the shard
         plan, checkpoint = self._checkpoint_with_result(tmp_path)
         with open(checkpoint.result_path(0)) as handle:
             document = json.load(handle)
         document["schema"] = "repro.par.shard_result/v1"
         del document["crc32"]
         atomic_write_json(checkpoint.result_path(0), document)
+        with pytest.raises(ValueError, match="schema"):
+            checkpoint.load_result(0)
         resumed = Checkpoint(checkpoint.directory)
-        assert resumed.open(plan) == {0}
+        assert resumed.open(plan) == set()   # demoted, will re-run
+        assert resumed.statuses()[0] == "pending"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ The fastpath's contract is *byte-identical observables*: for every
 program, the two engines must agree on guest output, exit code, trap
 class and message, and every field of ``RunStats`` (including the IFP
 unit's counters and the host-side cache counters, which are structural
-— the caches live in the shared IFP unit and fire identically under
-both engines).  These tests replay generated fuzz programs, injected
+— the promote-result cache lives in the shared IFP unit and fires
+identically under both engines).  These tests replay generated fuzz programs, injected
 attacks, and real workloads under both engines and compare the full
 stats dataclass, making them the in-repo mirror of the CI differential
 gate (``benchmarks/bench_host_throughput.py --verify-only``).
@@ -294,7 +294,7 @@ class TestWorkloadDifferential:
                                     max_instructions=200_000_000)
         assert run["trap"] is None
         # The IFP cache counters travel inside stats.ifp: their equality
-        # above proves the promote/walk/MAC caches behave structurally
+        # above proves the promote-result cache behaves structurally
         # identically under both engines.
         assert "promote_cache_hits" in run["stats"]["ifp"]
 
@@ -476,6 +476,46 @@ int main(void) {
 """
 
 
+#: a global pointer table reloaded from memory (so every dereference
+#: promotes) while its objects are freed and reallocated: store snoops
+#: invalidate cached promotes between rounds
+REUSED_SLOTS = """
+struct pair { int a; int b; };
+struct pair *slots[16];
+int main(void) {
+    int i;
+    int round;
+    int sum = 0;
+    for (round = 0; round < 4; round++) {
+        for (i = 0; i < 16; i++) {
+            slots[i] = (struct pair *)malloc(sizeof(struct pair));
+            slots[i]->a = i + round;
+        }
+        for (i = 0; i < 16; i++) {
+            sum = sum + slots[i]->a;
+            free(slots[i]);
+        }
+    }
+    return sum & 0xFF;
+}
+"""
+
+
+def _paper_observables(source: str, config_name: str, engine: str):
+    """Observables with the IFP unit's host-cache counters projected
+    out of ``stats.ifp`` (as perfbench's sweep digest does); returns
+    them with the run's promote-cache miss count."""
+    from repro.ifp.unit import _CACHE_COUNTER_FIELDS
+    program = compile_source(source, build_options(config_name))
+    config = build_machine_config(config_name, 200_000_000)
+    run = _observables(program, config, engine)
+    ifp = run["stats"]["ifp"]
+    misses = ifp["promote_cache_misses"]
+    run["stats"]["ifp"] = {key: value for key, value in ifp.items()
+                           if key not in _CACHE_COUNTER_FIELDS}
+    return run, misses
+
+
 class TestCacheCoherence:
     def test_alloc_free_realloc_identical(self):
         # free() + realloc rewrites object metadata in place; the
@@ -513,3 +553,27 @@ class TestCacheCoherence:
                                     max_instructions=200_000_000)
         assert run["stats"]["ifp"]["promote_elisions"] > 0
 
+    def test_capacity_overflow_clear_keeps_paper_model(self, monkeypatch):
+        # A capacity of 8 forces the promote cache's clear-on-full path
+        # many times per run; the paper-model observables must not move.
+        # SELF_MODIFY_METADATA makes no promotes, so it can only check
+        # the equality, not the extra misses.
+        from repro.ifp import unit
+        cells = [(WORKLOADS["treeadd"].source(1), "subheap", True),
+                 (REUSED_SLOTS, "subheap", True),
+                 (SELF_MODIFY_METADATA, "subheap", False),
+                 (SELF_MODIFY_METADATA, "wrapped", False)]
+        for source, config_name, overflows in cells:
+            for engine in ("fastpath", "reference"):
+                monkeypatch.setattr(unit, "_PROMOTE_CACHE_CAPACITY",
+                                    1 << 16)
+                default, default_misses = _paper_observables(
+                    source, config_name, engine)
+                monkeypatch.setattr(unit, "_PROMOTE_CACHE_CAPACITY", 8)
+                small, small_misses = _paper_observables(
+                    source, config_name, engine)
+                assert small == default, (config_name, engine)
+                if overflows:
+                    # more misses than at default capacity: the clear ran
+                    assert small_misses > default_misses, \
+                        (config_name, engine)

@@ -314,16 +314,17 @@ class TestTemporalFuzz:
         assert temporal_traps > 0
         assert "temporal=check" in stats.summary()
 
-    def test_temporal_stats_round_trip_with_back_compat(self):
+    def test_temporal_stats_round_trip(self):
         from repro.fuzz.driver import FuzzStats
         stats = FuzzStats(seed=1, configs=["baseline"],
                           temporal="check")
         again = FuzzStats.from_dict(stats.to_dict())
         assert again.temporal == "check"
-        # records written before the policy existed lack the key
+        # the key is required: a record without it is not read as "off"
         old = stats.to_dict()
         del old["temporal"]
-        assert FuzzStats.from_dict(old).temporal == "off"
+        with pytest.raises(KeyError):
+            FuzzStats.from_dict(old)
 
 
 # ---------------------------------------------------------------------------

