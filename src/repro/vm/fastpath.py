@@ -24,6 +24,19 @@ cached per machine by ``(function, signature)``: the fused block table
 for ordinary runs, and one handler per instruction for watchdog-armed
 runs and the near-budget fallback of a fused block.
 
+Translation is cached at two levels.  Those per-machine handler tables
+hold functions bound to one machine's state.  Below them, one
+process-wide LRU of code objects (:func:`_define`, 256 entries) is
+keyed by each block's full generated source, so a block text is
+compiled once per process and every machine binds the shared code to
+its own globals.  Campaigns repeat the same programs across configs,
+attack variants and minimisation: a 30-iteration fuzz campaign makes
+8,595 block translations but only 2,308 compiles (73% hits, 75%
+unbounded).  The 256-entry bound holds about 1.5 MB; unbounded, the
+cache cost +7.2 MB of RSS.  The Figure-10 sweep gains little: its
+shuffled cells revisit a workload only after ~2,000 other blocks, so
+it hits 10% at 256 entries (66% unbounded).
+
 Equivalence contract (enforced by ``tests/test_fastpath.py`` and the CI
 differential gate): guest output, trap class/message, ``RunStats`` and
 ``IFPUnitStats`` are **byte-identical** to the reference interpreter for
@@ -80,7 +93,10 @@ watchdog expiry is host-timing dependent.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
+from types import CodeType, FunctionType
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -110,6 +126,34 @@ _SIMPLE = 0    #: cannot raise; fusable anywhere in a block
 _RAISING = 1   #: may raise; fusable, but ends an accounting segment
 _TERM = 2      #: branch/ret; fusable only as the last instruction
 _BARRIER = 3   #: call/callptr; always compiled as its own block
+
+#: process-wide LRU of block code objects keyed by their full generated
+#: source (see the module doc).  The text alone determines the code:
+#: every machine-specific object reaches a block through its globals,
+#: never a closure or a default argument.
+_CODE_CAPACITY = 256
+_code_cache: "OrderedDict[str, CodeType]" = OrderedDict()
+#: guards the cache under repro.serve's job threads; compiling happens
+#: outside it
+_code_lock = threading.Lock()
+
+
+def _define(src: str, ns: dict):
+    """The ``_b`` function that ``src`` defines, bound to globals
+    ``ns``; compiles each distinct source once per process."""
+    with _code_lock:
+        code = _code_cache.get(src)
+        if code is not None:
+            _code_cache.move_to_end(src)
+    if code is None:
+        module = compile(src, "<string>", "exec")
+        code = next(const for const in module.co_consts
+                    if isinstance(const, CodeType))
+        with _code_lock:
+            _code_cache[src] = code
+            while len(_code_cache) > _CODE_CAPACITY:
+                _code_cache.popitem(last=False)
+    return FunctionType(code, ns)
 
 
 def _elision_sites(func: IRFunction) -> frozenset:
@@ -731,12 +775,11 @@ class _FuncCompiler:
 
     # -- block assembly ------------------------------------------------------
 
-    def _assemble(self, header: List[str], body: List[str]) -> object:
+    def _assemble(self, header: List[str], body: List[str],
+                  **extra) -> object:
         src = "def _b(st):\n" + "".join(
             f"    {line}\n" for line in header + body)
-        ns = dict(self.ns)
-        exec(src, ns)  # noqa: S102 - templates above, literals only
-        return ns["_b"]
+        return _define(src, dict(self.ns, **extra))
 
     def _single_header(self, ip: int) -> List[str]:
         """Accounting prologue for a 1-instruction block: exact budget
@@ -828,13 +871,7 @@ class _FuncCompiler:
         else:
             close_segment(k)
             body.append(f"return {emitted[-1][0] + 1}")
-        ns_extra = {"_fb": fallback}
-        src = "def _b(st):\n" + "".join(
-            f"    {line}\n" for line in header + body)
-        ns = dict(self.ns)
-        ns.update(ns_extra)
-        exec(src, ns)  # noqa: S102
-        return ns["_b"]
+        return self._assemble(header, body, _fb=fallback)
 
     # -- function-level translation ------------------------------------------
 

@@ -15,6 +15,7 @@ gate (``benchmarks/bench_host_throughput.py --verify-only``).
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -577,3 +578,143 @@ class TestCacheCoherence:
                     # more misses than at default capacity: the clear ran
                     assert small_misses > default_misses, \
                         (config_name, engine)
+
+
+# ---------------------------------------------------------------------------
+# process-wide code-object cache
+# ---------------------------------------------------------------------------
+
+#: a loop over a heap object, then a read through the freed pointer: a
+#: clean run with temporal off, a TemporalViolation with it on
+LOOP_THEN_UAF = """
+int main(void) {
+    int *p = (int *)malloc(8 * sizeof(int));
+    int i;
+    int sum = 0;
+    for (i = 0; i < 8; i++) {
+        p[i] = i * 3;
+        sum = sum + p[i];
+    }
+    free(p);
+    return (sum + p[2]) & 0xFF;
+}
+"""
+
+
+@pytest.fixture
+def code_cache(monkeypatch):
+    """A fresh, empty code cache for the test, with every ``compile``
+    call of the fastpath module counted in the returned list."""
+    from collections import OrderedDict
+
+    from repro.vm import fastpath
+
+    calls = []
+
+    def counting_compile(*args, **kwargs):
+        calls.append(args[0])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(fastpath, "_code_cache", OrderedDict())
+    monkeypatch.setattr(fastpath, "compile", counting_compile,
+                        raising=False)
+    return calls
+
+
+class TestCodeCache:
+    def test_second_machine_compiles_nothing(self, code_cache):
+        program = compile_source(WORKLOADS["treeadd"].source(1),
+                                 build_options("subheap"))
+        config = build_machine_config("subheap")
+        first = _observables(program, config, "fastpath")
+        compiled = len(code_cache)
+        assert compiled > 0
+        assert _observables(program, config, "fastpath") == first
+        assert len(code_cache) == compiled, "second machine recompiled"
+        assert first == _observables(program, config, "reference")
+
+    def test_cached_code_binds_each_machines_state(self, code_cache):
+        # A, B and C run the same program back to back and share every
+        # block whose text coincides; each must still report its own
+        # machine's output, trap, stats and events.
+        program = compile_source(LOOP_THEN_UAF, build_options("wrapped"))
+        plain = build_machine_config("wrapped", 5_000_000)
+        checked = build_machine_config("wrapped", 5_000_000,
+                                       temporal="check")
+        expected = [_observables(program, plain, "reference"),
+                    _observables(program, checked, "reference"),
+                    _instrumented_observables(program, plain,
+                                              "reference")]
+        assert expected[0]["trap"] is None
+        assert expected[1]["trap"][0] == "TemporalViolation"
+        assert _observables(program, plain, "fastpath") == expected[0]
+        compiled_a = len(code_cache)
+        assert _observables(program, checked, "fastpath") == expected[1]
+        compiled_b = len(code_cache) - compiled_a
+        # B reused the blocks that temporal checking leaves unchanged
+        assert 0 < compiled_b < compiled_a
+        armed = _instrumented_observables(program, plain, "fastpath")
+        assert armed["engine_used"] == "fastpath"
+        del armed["engine_used"], expected[2]["engine_used"]
+        assert armed == expected[2]
+        assert armed["events"] and armed["trace_recorded"] > 0
+
+    def test_capacity_one_keeps_results(self, code_cache, monkeypatch):
+        # Each run starts from an empty cache; at capacity 1 every
+        # block but the last translated one is evicted as it goes.
+        from collections import OrderedDict
+
+        from repro.vm import fastpath
+        cells = [(WORKLOADS["treeadd"].source(1), "subheap"),
+                 (SELF_MODIFY_METADATA, "subheap"),
+                 (SELF_MODIFY_METADATA, "wrapped")]
+        for source, config_name in cells:
+            program = compile_source(source, build_options(config_name))
+            config = build_machine_config(config_name, 200_000_000)
+            runs = {}
+            for capacity in (256, 1):
+                monkeypatch.setattr(fastpath, "_CODE_CAPACITY", capacity)
+                monkeypatch.setattr(fastpath, "_code_cache", OrderedDict())
+                runs[capacity] = _observables(program, config, "fastpath")
+                assert len(fastpath._code_cache) == min(
+                    capacity, len(set(code_cache)))
+                code_cache.clear()
+            assert runs[1] == runs[256]
+            assert runs[256] == _observables(program, config, "reference")
+
+    def test_concurrent_translation_under_eviction(self, code_cache,
+                                                   monkeypatch):
+        # repro.serve runs jobs in threads that translate concurrently;
+        # a capacity of 4 makes them evict each other's code all along.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.vm import fastpath
+        monkeypatch.setattr(fastpath, "_CODE_CAPACITY", 4)
+        cells = [(WORKLOADS["treeadd"].source(1), "subheap", "off"),
+                 (WORKLOADS["anagram"].source(1), "wrapped", "off"),
+                 (REUSED_SLOTS, "subheap-np", "check"),
+                 (LOOP_THEN_UAF, "wrapped", "quarantine")]
+        jobs = []
+        for source, config_name, temporal in cells:
+            program = compile_source(source, build_options(config_name))
+            config = build_machine_config(config_name, 200_000_000,
+                                          temporal=temporal)
+            jobs.append((program, config))
+        expected = [_observables(program, config, "reference")
+                    for program, config in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(
+                    lambda job: _observables(job[0], job[1], "fastpath"),
+                    jobs, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        # a lost update would leave the cache over capacity or a text
+        # filed under code compiled from another text
+        assert len(fastpath._code_cache) <= 4
+        for src, code in list(fastpath._code_cache.items()):
+            module = compile(src, "<string>", "exec")
+            assert code in module.co_consts
