@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 from repro.errors import LexError
 
@@ -38,93 +39,81 @@ class Token:
         return f"Token({self.kind}, {self.text!r} @{self.line}:{self.col})"
 
 
+#: One alternation over every token shape, tried left to right at each
+#: position; the catch-all ``bad`` arm makes every position match, so the
+#: matches tile the source.  The ``*_open`` arms match only where the
+#: full literal above them failed and always raise.  Identifiers and
+#: digits are ASCII: a non-ASCII character outside a literal or comment
+#: is an unexpected character.
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<nl>\n)",
+    r"(?P<block_comment>/\*(?s:.*?)\*/)",
+    r"(?P<block_open>/\*)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<hex>0[xX][0-9a-fA-F]+[uUlL]*)",
+    r"(?P<hex_open>0[xX])",
+    r"(?P<dec>[0-9]+[uUlL]*)",
+    r"(?P<char>'(?:\\.|[^\\])')",
+    r"(?P<char_open>')",
+    r'(?P<string>"(?:[^"\\\n]|\\.)*")',
+    r'(?P<string_open>")',
+    "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+    r"(?P<bad>(?s:.))",
+]))
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize mini-C source into a token list ending with an 'eof' token."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
-    col = 1
-    length = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(count):
-            if source[pos] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            pos += 1
-
-    while pos < length:
-        ch = source[pos]
-        # Whitespace.
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  #: offset of the current line's first character
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        # Comments.
-        if source.startswith("//", pos):
-            while pos < length and source[pos] != "\n":
-                advance(1)
+        pos = match.start()
+        if kind == "nl":
+            line += 1
+            line_start = pos + 1
             continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise LexError("unterminated block comment", line, col)
-            advance(end + 2 - pos)
-            continue
-        start_line, start_col = line, col
-        # Identifiers and keywords.
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[pos:end]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, 0, start_line, start_col))
-            advance(end - pos)
-            continue
-        # Numbers.
-        if ch.isdigit():
-            end = pos
-            if source.startswith(("0x", "0X"), pos):
-                end = pos + 2
-                while end < length and source[end] in "0123456789abcdefABCDEF":
-                    end += 1
-                value = int(source[pos:end], 16)
-            else:
-                while end < length and source[end].isdigit():
-                    end += 1
-                value = int(source[pos:end])
-            # Integer suffixes (L/U/UL) are accepted and ignored.
-            while end < length and source[end] in "uUlL":
-                end += 1
-            tokens.append(Token("int", source[pos:end], value,
-                                start_line, start_col))
-            advance(end - pos)
-            continue
-        # Character literals become int tokens.
-        if ch == "'":
-            value, consumed = _read_char(source, pos, line, col)
-            tokens.append(Token("int", source[pos:pos + consumed], value,
-                                start_line, start_col))
-            advance(consumed)
-            continue
-        # String literals.
-        if ch == '"':
-            text, consumed = _read_string(source, pos, line, col)
-            tokens.append(Token("string", text, 0, start_line, start_col))
-            advance(consumed)
-            continue
-        # Operators / punctuation.
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token("op", op, 0, start_line, start_col))
-                advance(len(op))
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", 0, line, col))
+        text = match.group()
+        col = pos - line_start + 1
+        if kind == "ident":
+            append(Token("keyword" if text in KEYWORDS else "ident", text,
+                         0, line, col))
+        elif kind == "op":
+            append(Token("op", text, 0, line, col))
+        elif kind == "dec":
+            append(Token("int", text, int(text.rstrip("uUlL")), line, col))
+        elif kind == "hex":
+            append(Token("int", text, int(text.rstrip("uUlL"), 16),
+                         line, col))
+        elif kind == "string":
+            append(Token("string", _read_string(source, pos, line, col)[0],
+                         0, line, col))
+        elif kind == "char":
+            append(Token("int", text, _read_char(source, pos, line, col)[0],
+                         line, col))
+        # The full-literal arms did not match, so these readers raise
+        # the literal's error.
+        elif kind == "char_open":
+            _read_char(source, pos, line, col)
+        elif kind == "string_open":
+            _read_string(source, pos, line, col)
+        elif kind == "block_open":
+            raise LexError("unterminated block comment", line, col)
+        elif kind == "hex_open":
+            raise LexError(f"hex literal {text!r} has no digits", line, col)
+        elif kind == "bad":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        # Block comments and character literals may span lines.
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + text.rindex("\n") + 1
+    append(Token("eof", "", 0, line, len(source) - line_start + 1))
     return tokens
 
 

@@ -52,6 +52,117 @@ class TestLexer:
         unit = parse('char *s = "ab" "cd";')
         assert unit.globals[0].init.text == "abcd"
 
+    @pytest.mark.parametrize("source,message,line,col", [
+        ("a\n  /* never ends", "unterminated block comment", 2, 3),
+        ("int a @ b;", "unexpected character '@'", 1, 7),
+        ("\n\n  @", "unexpected character '@'", 3, 3),
+        ("x = 'a", "unterminated character literal", 1, 5),
+        ("'", "unterminated character literal", 1, 1),
+        ("''", "unterminated character literal", 1, 1),
+        ("'ab'", "unterminated character literal", 1, 1),
+        ("'\\'", "unterminated character literal", 1, 1),
+        ("a\tb\n\t/*x\ny*/ 'c", "unterminated character literal", 3, 5),
+        ('s = "abc', "unterminated string literal", 1, 5),
+        ('"ab\ncd"', "unterminated string literal", 1, 1),
+        ("c = '\\q';", "unknown escape \\q", 1, 5),
+        ('"a\\qb"', "unknown escape \\q", 1, 1),
+        ("'\\", "unknown escape \\", 1, 1),
+        ('"abc\\', "unknown escape \\", 1, 1),
+        ('"\\\n"', "unknown escape \\\n", 1, 1),
+        # mini-C is ASCII outside literals and comments
+        ("int x = 0x;", "hex literal '0x' has no digits", 1, 9),
+        ("int x = 1²;", "unexpected character '²'", 1, 10),
+        ("int é = 1;", "unexpected character 'é'", 1, 5),
+        ("int xé;", "unexpected character 'é'", 1, 6),
+    ])
+    def test_lex_error_position(self, source, message, line, col):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert str(info.value) == f"{line}:{col}: {message}"
+        assert (info.value.line, info.value.col) == (line, col)
+
+    def test_non_ascii_inside_literals_and_comments(self):
+        tokens = tokenize('"é" \'é\' // ²\n/* é */ x')
+        assert [(t.kind, t.text, t.value) for t in tokens] == [
+            ("string", "é", 0), ("int", "'é'", 0xE9),
+            ("ident", "x", 0), ("eof", "", 0)]
+
+    def test_raw_newline_in_char_literal_counts_a_line(self):
+        tokens = tokenize("x = '\n' + y;")
+        assert [(t.text, t.value, t.line, t.col) for t in tokens] == [
+            ("x", 0, 1, 1), ("=", 0, 1, 3), ("'\n'", 10, 1, 5),
+            ("+", 0, 2, 3), ("y", 0, 2, 5), (";", 0, 2, 6), ("", 0, 2, 7)]
+
+    def test_literal_edges(self):
+        tokens = tokenize("08 0x1g 12abc 1.5 ... .. 10UL 0XffU '''")
+        assert [(t.kind, t.text, t.value, t.col) for t in tokens] == [
+            ("int", "08", 8, 1), ("int", "0x1", 1, 4), ("ident", "g", 0, 7),
+            ("int", "12", 12, 9), ("ident", "abc", 0, 11),
+            ("int", "1", 1, 15), ("op", ".", 0, 16), ("int", "5", 5, 17),
+            ("op", "...", 0, 19), ("op", ".", 0, 23), ("op", ".", 0, 24),
+            ("int", "10UL", 10, 26), ("int", "0XffU", 255, 31),
+            ("int", "'''", 39, 37), ("eof", "", 0, 40)]
+
+
+def _token_corpora():
+    """Every source the repository compiles, by family."""
+    from repro.fuzz.attacks import TEMPORAL_KINDS, attacks_for
+    from repro.fuzz.generator import generate_program, render
+    from repro.juliet.cases import generate_cases, generate_temporal_cases
+    from repro.workloads import all_workloads
+
+    fuzz = []
+    for seed in range(10):
+        program = generate_program(seed)
+        fuzz.append(program.source)
+        for site in program.sites:
+            for attack in attacks_for(site, include_temporal=True):
+                shape = (attack.sid, attack.index)
+                if attack.kind in TEMPORAL_KINDS:
+                    shape += (attack.kind,)
+                fuzz.append(render(program.spec, shape))
+    return {
+        "workloads": [w.source(1) for w in all_workloads()],
+        "juliet": [case.source for case in generate_cases()],
+        "juliet_temporal": [case.source
+                            for case in generate_temporal_cases()],
+        "fuzz": fuzz,
+    }
+
+
+class TestTokenGolden:
+    """The token stream of every shipped source, pinned by digest.
+
+    The digests were taken with the original character-at-a-time lexer;
+    any tokenizer must reproduce its ``(kind, text, value, line, col)``
+    stream exactly."""
+
+    GOLDEN = {
+        "workloads": (18, 9962, "d703e337e8ef83361c2333546edf49c8"
+                      "4a2df56adb563c5617e3e638aa7ad043"),
+        "juliet": (140, 13784, "9d9543a0fbc15d9a085db1868c774fa0"
+                   "17c19a46a011516c535909ddeec1c0fe"),
+        "juliet_temporal": (38, 3929, "55faef47b814be7b4106f213839979185"
+                            "c965ffc83917ba346c102d8c9366842"),
+        "fuzz": (105, 46520, "5ae94b2086645496fa95df30c0b8136252"
+                 "da0f5ee0bcb33a41e1c2bbaab7ba4b"),
+    }
+
+    def test_token_streams_match(self):
+        import hashlib
+        for family, sources in _token_corpora().items():
+            digest = hashlib.sha256()
+            count = 0
+            for source in sources:
+                tokens = tokenize(source)
+                count += len(tokens)
+                for t in tokens:
+                    digest.update(repr(
+                        (t.kind, t.text, t.value, t.line, t.col)).encode())
+                digest.update(b"\0")
+            assert (len(sources), count, digest.hexdigest()) \
+                == self.GOLDEN[family], family
+
 
 class TestTypes:
     def test_sizes(self):
