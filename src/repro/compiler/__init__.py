@@ -18,9 +18,12 @@ from repro.compiler.ir import (
     Op, Instr, IRFunction, IRProgram, GlobalObject,
 )
 from repro.compiler.options import CompilerOptions
-from repro.compiler.compile import compile_program, compile_source
+from repro.compiler.compile import (
+    compile_program, compile_source, shared_front_end,
+)
 
 __all__ = [
     "Op", "Instr", "IRFunction", "IRProgram", "GlobalObject",
     "CompilerOptions", "compile_program", "compile_source",
+    "shared_front_end",
 ]

@@ -2,7 +2,8 @@
 
 A :class:`Sweep` memoises (workload, config, scale) runs so the table and
 figure generators — and the pytest-benchmark harnesses — can share one
-set of executions.
+set of executions; it lexes, parses and type-checks each workload's source
+once for all configurations.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.compiler import compile_source
+from repro.compiler import compile_source, shared_front_end
 from repro.errors import (
     OutputDivergence, UnexpectedOutput, WorkloadTimeout, WorkloadTrapped,
 )
 from repro.eval.configs import (
     CONFIG_NAMES, build_machine_config, build_options,
 )
+from repro.lang import Program
 from repro.resil.retry import call_with_retry
 from repro.vm import Machine, RunStats
 from repro.workloads import Workload, all_workloads
@@ -160,20 +162,24 @@ class Sweep:
         self.retries = retries
         self.backoff_base = backoff_base
         self._cache: Dict[Tuple[str, str], WorkloadRun] = {}
+        #: one typed program per workload source, lowered under every
+        #: config the sweep runs
+        self._programs: Dict[str, Program] = {}
 
     def run(self, workload: Workload, config: str) -> WorkloadRun:
         key = (workload.name, config)
         if key not in self._cache:
-            if self.timeout_seconds is None:
-                self._cache[key] = run_workload(workload, config,
-                                                self.scale)
-            else:
-                self._cache[key] = call_with_retry(
-                    lambda _attempt: run_workload(
-                        workload, config, self.scale,
-                        timeout_seconds=self.timeout_seconds),
-                    attempts=1 + self.retries,
-                    base_delay=self.backoff_base)
+            with shared_front_end(self._programs):
+                if self.timeout_seconds is None:
+                    self._cache[key] = run_workload(workload, config,
+                                                    self.scale)
+                else:
+                    self._cache[key] = call_with_retry(
+                        lambda _attempt: run_workload(
+                            workload, config, self.scale,
+                            timeout_seconds=self.timeout_seconds),
+                        attempts=1 + self.retries,
+                        base_delay=self.backoff_base)
         return self._cache[key]
 
     def baseline(self, workload: Workload) -> WorkloadRun:

@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.compiler import shared_front_end
 from repro.fuzz.attacks import Attack, TEMPORAL_KINDS, attacks_for
 from repro.fuzz.corpus import (
     CorpusEntry, DEFAULT_CORPUS_DIR, entry_name, save_failure,
@@ -249,11 +250,12 @@ def _divergence_predicate(configs: List[str],
                           ) -> Callable[[str], bool]:
     def predicate(source: str) -> bool:
         seen = set()
-        for config in configs:
-            result = run_program(source, config, temporal=temporal)
-            if result.trap is not None:
-                return False
-            seen.add((result.output, result.exit_code))
+        with shared_front_end():
+            for config in configs:
+                result = run_program(source, config, temporal=temporal)
+                if result.trap is not None:
+                    return False
+                seen.add((result.output, result.exit_code))
         return len(seen) > 1
     return predicate
 
